@@ -28,8 +28,10 @@ def run(spark, quick: bool = False) -> pd.DataFrame:
     queries = pick_queries(tree, 4 if quick else 12)
     acc: dict[tuple[str, int], list[tuple[float, float]]] = {}
     for q in queries:
-        cands, cnt, sz, qsz = eng.all_level_counts(int(q))
-        qsz_b = np.broadcast_to(qsz, sz.shape)
+        qc = eng.query_cells(int(q))
+        cnt, sz = eng.level_counts(qc)
+        cands = eng.all_entities[eng.all_entities != q]
+        qsz_b = np.broadcast_to(qc.sizes, sz.shape)
         for mname, fn in CLASSIC_MEASURES.items():
             adm = ADMParams(m=spec.m, u=1.0, v=V_FOR[mname])
             s_adm = adm_score(adm, cnt, sz, qsz_b)

@@ -9,9 +9,10 @@ integers per node — routing index and the hash value at it):
   materialized ``SIG_N[u]`` of §3.2.2);
 * ``leaves``: ``(entity, key)`` leaf membership (full ``m``-length path).
 
-Both are built with Catalyst aggregations from the entity signature
-relation, then collected to the driver (≤ ``m·|E|`` tiny rows) where the
-best-first search runs; the per-cell relations (``cells``,
+Signatures and routing paths are Catalyst aggregations; the per-entity
+paths (one row per entity) are collected to the driver once, and both
+tables are derived from them there with pandas (≤ ``m·|E|`` tiny rows),
+where the best-first search runs. The per-cell relations (``cells``,
 ``level_hashes``) stay distributed and persisted for scoring joins.
 
 Bulk update (§3.2.3) appends new trace records: affected entities get
@@ -25,6 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -69,44 +71,47 @@ class MinSigTree:
                 pass
 
 
-def _prefix_counts(nodes: pd.DataFrame, leaves: pd.DataFrame) -> pd.Series:
-    """Recompute each node's entity count from current leaf membership."""
-    counts: dict[str, int] = {}
-    for key in leaves.key:
-        parts = key.split("/")
-        for i in range(1, len(parts) + 1):
-            pk = "/".join(parts[:i])
-            counts[pk] = counts.get(pk, 0) + 1
-    return nodes.key.map(counts).fillna(0).astype("int64")
+def prefix_keys(path: np.ndarray) -> np.ndarray:
+    """``(n, m)`` "/"-joined routing prefixes of ``(n, m)`` routing paths.
+
+    Column ``i`` holds each path's level-``i+1`` node key, so the last
+    column is the leaf key.
+    """
+    keys = np.empty(path.shape, dtype=object)
+    if path.size:
+        pref = pd.Series(path[:, 0]).astype(str)
+        keys[:, 0] = pref
+        for i in range(1, path.shape[1]):
+            pref = pref + "/" + pd.Series(path[:, i]).astype(str)
+            keys[:, i] = pref
+    return keys
 
 
-def _nodes_and_leaves(
-    spark: SparkSession, paths: DataFrame, m: int
-) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Aggregate per-entity routing paths into node and leaf tables."""
-    lvl = spark.range(1, m + 1).select(F.col("id").cast("int").alias("level"))
-    pref = paths.crossJoin(F.broadcast(lvl)).select(
-        "entity",
-        "level",
-        F.concat_ws("/", F.slice("path", 1, F.col("level"))).alias("key"),
-        F.element_at("path", F.col("level")).alias("route"),
-        F.element_at("route_vals", F.col("level")).alias("sig_val"),
-    )
+def key_paths(keys: pd.Series | pd.Index, m: int) -> np.ndarray:
+    """``(n, m)`` routing paths of "/"-joined leaf keys."""
+    return np.array(keys.str.split("/").tolist(), dtype=np.int64).reshape(-1, m)
+
+
+def _tree_tables(paths: pd.DataFrame, m: int) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Node and leaf tables from collected `entity_paths` rows."""
+    route = np.array(paths.path.tolist(), dtype=np.int32).reshape(-1, m)
+    keys = prefix_keys(route)
     nodes = (
-        pref.groupBy("level", "key", "route")
-        .agg(
-            F.min("sig_val").alias("sig_val"),
-            F.count("*").alias("n_entities"),
+        pd.DataFrame(
+            {
+                "level": np.tile(np.arange(1, m + 1, dtype=np.int32), len(route)),
+                "key": keys.ravel(),
+                "route": route.ravel(),
+                "sig_val": np.array(paths.route_vals.tolist(), np.int64).ravel(),
+            }
         )
-        .toPandas()
+        .groupby(["level", "key", "route"], as_index=False)
+        .agg(sig_val=("sig_val", "min"), n_entities=("sig_val", "size"))
         .sort_values(["level", "key"], ignore_index=True)
     )
-    leaves = (
-        pref.filter(F.col("level") == m)
-        .select("entity", "key")
-        .toPandas()
-        .sort_values("entity", ignore_index=True)
-    )
+    leaves = pd.DataFrame(
+        {"entity": paths.entity.to_numpy(), "key": keys[:, -1]}
+    ).sort_values("entity", ignore_index=True)
     return nodes, leaves
 
 
@@ -126,9 +131,8 @@ def build_minsigtree(
     lh = build_level_hashes(spark, cells, sp, fam)
     if persist:
         lh = lh.persist()
-    sigs = entity_signatures(cells, lh, fam)
-    paths = entity_paths(sigs)
-    nodes, leaves = _nodes_and_leaves(spark, paths, sp.m)
+    paths = entity_paths(entity_signatures(cells, lh, fam)).toPandas()
+    nodes, leaves = _tree_tables(paths, sp.m)
     sizes = level_sizes(cells).toPandas()
     return MinSigTree(
         sp=sp,
@@ -175,9 +179,8 @@ def bulk_update(
         .dropDuplicates(["level", "cell"])
         .persist()
     )
-    sigs = entity_signatures(new_cells, lh, tree.fam)
-    paths = entity_paths(sigs)
-    new_nodes, new_leaves = _nodes_and_leaves(spark, paths, tree.m)
+    paths = entity_paths(entity_signatures(new_cells, lh, tree.fam)).toPandas()
+    new_nodes, new_leaves = _tree_tables(paths, tree.m)
 
     upd_ids = set(new_leaves.entity)
     leaves = pd.concat(
@@ -190,7 +193,9 @@ def bulk_update(
         .agg(sig_val=("sig_val", "min"))
         .sort_values(["level", "key"], ignore_index=True)
     )
-    nodes["n_entities"] = _prefix_counts(nodes, leaves)
+    prefixes = prefix_keys(key_paths(leaves.key, tree.m)).ravel()
+    counts = pd.Series(prefixes).value_counts()
+    nodes["n_entities"] = nodes.key.map(counts).fillna(0).astype("int64")
     # An emptied leaf (every entity moved away) is removed, as in §3.2.3.
     nodes = nodes[nodes.n_entities > 0].reset_index(drop=True)
     new_sizes = level_sizes(new_cells).toPandas()

@@ -6,9 +6,12 @@ The engine follows Algorithm 2 adapted to the Spark driver/executor split:
   loop, computing every leaf's upper bound in one vectorized pass
   (Thm 4.1 with the materialized ``SIG_N[route]`` values — the paper's
   *partial pruned set* variant, §4.1);
-* each exploration round issues one distributed scoring job: the batch's
-  candidate entities join the persisted cell relation against the
-  (broadcast) query cells, producing exact per-level intersection counts.
+* every exact score comes from one counting primitive, `level_counts`:
+  one distributed job that joins the persisted cell relation against the
+  (broadcast) query cells and returns per-level intersection and size
+  matrices. An exploration round passes its candidate batch (broadcast
+  join); brute force and the App.-D evaluations pass none (every other
+  entity, a filtered scan).
 
 Level-aware pruning: a constraint from the tree node at level ``i``
 applies to query cells of level ``j >= i`` only (generalized Thm 3.2 —
@@ -29,7 +32,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.adm import ADMParams, adm_score
-from repro.core.minsigtree import MinSigTree
+from repro.core.minsigtree import MinSigTree, key_paths, prefix_keys
 
 _EPS = 1e-12
 
@@ -55,6 +58,7 @@ class TopKResult:
 class _QueryCells:
     """Per-level cell arrays + hash matrices for one query entity."""
 
+    entity: int
     levels: dict[int, np.ndarray]  # level -> cell codes (C_l,)
     hashes: dict[int, np.ndarray]  # level -> (C_l, n_h) hash matrix
     sizes: np.ndarray  # (m,) |seq_q^l|
@@ -92,21 +96,16 @@ class TopKEngine:
         self.adm = adm
         self.m = tree.m
         self.size_aware = size_aware
-        # Leaf table: key -> entity list; constraint matrices (J, m).
+        # Leaf table: key -> entity list; constraint matrices (J, m) of
+        # each leaf's routing path and the stored SIG value at every prefix.
         leaf_groups = tree.leaves.groupby("key").entity.apply(list)
         self._leaf_keys = list(leaf_groups.index)
         self._leaf_entities = list(leaf_groups.values)
         self._entity_leaf = dict(zip(tree.leaves.entity, tree.leaves.key))
-        sig_map = {k: v for k, v in zip(tree.nodes.key, tree.nodes.sig_val)}
-        j = len(self._leaf_keys)
-        self._u = np.zeros((j, self.m), dtype=np.int64)
-        self._s = np.zeros((j, self.m), dtype=np.int64)
-        for row, key in enumerate(self._leaf_keys):
-            parts = key.split("/")
-            for i in range(self.m):
-                pk = "/".join(parts[: i + 1])
-                self._u[row, i] = int(parts[i])
-                self._s[row, i] = int(sig_map[pk])
+        self._u = key_paths(leaf_groups.index, self.m)
+        prefixes = prefix_keys(self._u).ravel()
+        sig = tree.nodes.set_index("key").sig_val.loc[prefixes]
+        self._s = sig.to_numpy(dtype=np.int64).reshape(self._u.shape)
         # |seq_e^l| matrix for exact scoring.
         self._sizes = tree.sizes.pivot_table(
             index="entity", columns="level", values="sz", fill_value=0
@@ -117,29 +116,18 @@ class TopKEngine:
 
     def _finalize_groups(self) -> None:
         """Index entities by their group row (leaf or bitmap group)."""
-        row_of = {}
-        for row, ents in enumerate(self._leaf_entities):
-            for e in ents:
-                row_of[int(e)] = row
-        self._entity_rows = np.array(
-            [row_of[int(e)] for e in self.all_entities], dtype=np.int64
-        )
+        members = pd.Series(self._leaf_entities, dtype=object).explode()
+        row_of = pd.Series(members.index, index=members.to_numpy(np.int64))
+        self._entity_rows = row_of.loc[self.all_entities].to_numpy(np.int64)
         self._sz_matrix = self._sizes.to_numpy(dtype=np.float64)
 
     def _bounds_from_surv(self, surv: np.ndarray, qc: "_QueryCells") -> np.ndarray:
         """Group upper bounds given per-group per-level survivor counts."""
-        q = np.broadcast_to(qc.sizes, surv.shape)
-        base = adm_score(self.adm, surv, surv, q)
+        base = self._adm(qc, surv, surv)
         if not self.size_aware:
             return base
         es = surv[self._entity_rows]  # (E, m)
-        cap = np.minimum(es, self._sz_matrix)
-        eb = adm_score(
-            self.adm,
-            cap,
-            self._sz_matrix,
-            np.broadcast_to(qc.sizes, cap.shape),
-        )
+        eb = self._adm(qc, np.minimum(es, self._sz_matrix), self._sz_matrix)
         ub = np.zeros(len(surv))
         np.maximum.at(ub, self._entity_rows, eb)
         return ub
@@ -166,6 +154,7 @@ class TopKEngine:
             hashes[int(l)] = np.stack(grp["h"].to_numpy())
             sizes[int(l) - 1] = len(grp)
         qc = _QueryCells(
+            entity=int(entity),
             levels=levels,
             hashes=hashes,
             sizes=sizes,
@@ -188,37 +177,53 @@ class TopKEngine:
             surv[:, l - 1] = mask.sum(axis=0)
         return self._bounds_from_surv(surv, qc)
 
+    def level_counts(
+        self, qc: _QueryCells, candidates: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-level overlap of ``candidates`` with the query (one Spark job).
+
+        Returns ``(inter, sizes)``, both ``(n, m)``: ``inter[i, l-1] =
+        |seq_c^l ∩ seq_q^l|`` and ``sizes[i, l-1] = |seq_c^l|`` for the
+        i-th candidate ``c`` — enough to evaluate any per-level measure
+        (ADM with any u/v, Dice, Jaccard, Cosine). A candidate array is
+        broadcast-joined to the cell relation; ``None`` means every entity
+        but the query (`_others`), scanned with a filter instead.
+        """
+        cells = self.tree.cells
+        if candidates is None:
+            candidates = self._others(qc.entity)
+            cells = cells.filter(F.col("entity") != qc.entity)
+        else:
+            cand = self.spark.createDataFrame(
+                pd.DataFrame({"entity": candidates.astype("int64")})
+            )
+            cells = cells.join(F.broadcast(cand), "entity")
+        inter = np.zeros((len(candidates), self.m), dtype=np.float64)
+        if len(candidates):
+            qdf = F.broadcast(self.spark.createDataFrame(qc.pdf))
+            cnt = (
+                cells.join(qdf, ["level", "cell"])
+                .groupBy("entity", "level")
+                .agg(F.count("*").alias("cnt"))
+                .toPandas()
+            )
+            rows = pd.Index(candidates).get_indexer(cnt.entity)
+            inter[rows, cnt.level.to_numpy() - 1] = cnt.cnt.to_numpy()
+        return inter, self._sizes.reindex(candidates).to_numpy(dtype=np.float64)
+
+    def _others(self, entity: int) -> np.ndarray:
+        """Every indexed entity except ``entity``, in index order."""
+        return self.all_entities[self.all_entities != int(entity)]
+
+    def _adm(self, qc: _QueryCells, inter: np.ndarray, sz: np.ndarray) -> np.ndarray:
+        """Eq. 20 between the query and each row of per-level counts."""
+        return adm_score(self.adm, inter, sz, np.broadcast_to(qc.sizes, inter.shape))
+
     def exact_scores(
         self, qc: _QueryCells, candidates: np.ndarray
     ) -> pd.Series:
-        """Distributed exact ADM for ``candidates`` (one Spark job)."""
-        if not len(candidates):
-            return pd.Series(dtype=float)
-        spark = self.spark
-        cand = F.broadcast(
-            spark.createDataFrame(pd.DataFrame({"entity": candidates.astype("int64")}))
-        )
-        qdf = F.broadcast(spark.createDataFrame(qc.pdf))
-        inter = (
-            self.tree.cells.join(cand, "entity")
-            .join(qdf, ["level", "cell"])
-            .groupBy("entity", "level")
-            .agg(F.count("*").alias("cnt"))
-            .toPandas()
-        )
-        return self._scores_from_counts(inter, candidates, qc.sizes)
-
-    def _scores_from_counts(
-        self, inter: pd.DataFrame, candidates: np.ndarray, q_sizes: np.ndarray
-    ) -> pd.Series:
-        cnt = np.zeros((len(candidates), self.m), dtype=np.float64)
-        pos = {int(e): i for i, e in enumerate(candidates)}
-        for e, l, c in inter.itertuples(index=False):
-            cnt[pos[int(e)], int(l) - 1] = c
-        sz = self._sizes.reindex(candidates).to_numpy(dtype=np.float64)
-        scores = adm_score(
-            self.adm, cnt, sz, np.broadcast_to(q_sizes, cnt.shape)
-        )
+        """Exact ADM for ``candidates`` (one Spark job)."""
+        scores = self._adm(qc, *self.level_counts(qc, candidates))
         return pd.Series(scores, index=candidates)
 
     def topk(
@@ -268,19 +273,15 @@ class TopKEngine:
 
     # ----------------------------------------------------------- brute force
 
+    def all_scores(self, entity: int) -> pd.Series:
+        """Exact ADM of ``entity`` vs every other entity (one Spark scan)."""
+        qc = self.query_cells(entity)
+        scores = self._adm(qc, *self.level_counts(qc))
+        return pd.Series(scores, index=self._others(entity))
+
     def brute_force(self, entity: int, k: int) -> TopKResult:
         """Full scan: exact ADM against every other entity (baseline oracle)."""
-        qc = self.query_cells(entity)
-        cands = self.all_entities[self.all_entities != entity]
-        qdf = F.broadcast(self.spark.createDataFrame(qc.pdf))
-        inter = (
-            self.tree.cells.filter(F.col("entity") != int(entity))
-            .join(qdf, ["level", "cell"])
-            .groupBy("entity", "level")
-            .agg(F.count("*").alias("cnt"))
-            .toPandas()
-        )
-        scores = self._scores_from_counts(inter, cands, qc.sizes)
+        scores = self.all_scores(entity)
         order = sorted(
             zip(scores.to_numpy(), scores.index.to_numpy()),
             key=lambda t: (-t[0], t[1]),
@@ -290,40 +291,7 @@ class TopKEngine:
             query=int(entity),
             k=k,
             results=results,
-            checked=len(cands),
+            checked=len(scores),
             rounds=1,
             n_entities=len(self.all_entities),
         )
-
-    def all_scores(self, entity: int) -> pd.Series:
-        """Exact ADM of ``entity`` vs every other entity (for App.-D evals)."""
-        qc = self.query_cells(entity)
-        cands = self.all_entities[self.all_entities != entity]
-        return self.exact_scores(qc, cands)
-
-    def all_level_counts(
-        self, entity: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Raw per-level overlap data of ``entity`` vs every other entity.
-
-        Returns ``(candidates, inter, sizes, q_sizes)`` with ``inter`` and
-        ``sizes`` shaped ``(n_candidates, m)`` — enough to evaluate any
-        per-level measure (ADM with arbitrary u/v, Dice, Jaccard, Cosine)
-        without re-running the distributed join (App. D comparisons).
-        """
-        qc = self.query_cells(entity)
-        cands = self.all_entities[self.all_entities != entity]
-        qdf = F.broadcast(self.spark.createDataFrame(qc.pdf))
-        inter_pdf = (
-            self.tree.cells.filter(F.col("entity") != int(entity))
-            .join(qdf, ["level", "cell"])
-            .groupBy("entity", "level")
-            .agg(F.count("*").alias("cnt"))
-            .toPandas()
-        )
-        cnt = np.zeros((len(cands), self.m), dtype=np.float64)
-        pos = {int(e): i for i, e in enumerate(cands)}
-        for e, l, c in inter_pdf.itertuples(index=False):
-            cnt[pos[int(e)], int(l) - 1] = c
-        sz = self._sizes.reindex(cands).to_numpy(dtype=np.float64)
-        return cands, cnt, sz, qc.sizes.astype(np.float64)

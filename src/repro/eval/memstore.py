@@ -23,7 +23,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.adm import adm_score
 from repro.core.minsigtree import MinSigTree
 from repro.core.query import TopKEngine, _QueryCells
 
@@ -94,13 +93,17 @@ class LeafBlockStore:
 
 
 class LocalScoringEngine(TopKEngine):
-    """TopKEngine whose exact-scoring stage reads through a LeafBlockStore."""
+    """TopKEngine whose counting primitive reads through a LeafBlockStore."""
 
     def __init__(self, spark, tree: MinSigTree, adm, store: LeafBlockStore):
         super().__init__(spark, tree, adm)
         self.store = store
 
-    def exact_scores(self, qc: _QueryCells, candidates: np.ndarray) -> pd.Series:
+    def level_counts(
+        self, qc: _QueryCells, candidates: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if candidates is None:
+            candidates = self._others(qc.entity)
         fetched = self.store.fetch_many([int(e) for e in candidates])
         qsets = {l: set(map(int, cs)) for l, cs in qc.levels.items()}
         cnt = np.zeros((len(candidates), self.m), dtype=np.float64)
@@ -110,8 +113,4 @@ class LocalScoringEngine(TopKEngine):
                 qs = qsets.get(l)
                 if qs:
                     cnt[i, l - 1] = sum(1 for c in cells if int(c) in qs)
-        sz = self._sizes.reindex(candidates).to_numpy(dtype=np.float64)
-        scores = adm_score(
-            self.adm, cnt, sz, np.broadcast_to(qc.sizes, cnt.shape)
-        )
-        return pd.Series(scores, index=candidates)
+        return cnt, self._sizes.reindex(candidates).to_numpy(dtype=np.float64)

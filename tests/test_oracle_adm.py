@@ -124,17 +124,3 @@ def test_topk_scores_match_duckdb_ranking(setup):
         atol=1e-9,
     )
 
-
-def test_synth_data_oracle_smoke(spark):
-    """Provided TPC-H-lite generators stay wired to the oracle."""
-    from repro.synth_data import lineitem
-
-    li = lineitem(spark, sf=0.001, seed=0)
-    got = li.groupBy("l_returnflag").agg(
-        F.count("*").alias("n"), F.round(F.sum("l_quantity"), 2).alias("qty")
-    )
-    sql = """
-        SELECT l_returnflag, COUNT(*) AS n, ROUND(SUM(l_quantity), 2) AS qty
-        FROM li GROUP BY l_returnflag
-    """
-    assert_equivalent(got, sql, li=li)

@@ -38,9 +38,9 @@ def test_update_existing_entities(setting):
     merged = pd.concat([base, new], ignore_index=True)
     expect = (
         merged[merged.entity == 3]
-        .merge(sp.mapping, on="base_unit")
-        .groupby("level")
-        .apply(lambda g: g[["t", "unit"]].drop_duplicates().shape[0])
+        .merge(sp.mapping, on="base_unit")[["level", "t", "unit"]]
+        .drop_duplicates()
+        .level.value_counts()
     )
     got = updated.sizes[updated.sizes.entity == 3].set_index("level").sz
     for lvl in range(1, 4):
@@ -112,3 +112,43 @@ def test_update_counts_rebuilt_from_leaves(setting):
         assert r.n_entities == leaf_counts.get(r.key, 0)
     assert (updated.nodes.n_entities > 0).all()
     updated.unpersist()
+
+
+def test_chained_updates_match_rebuild(setting):
+    """Two chained updates yield the tree a fresh build of the merged traces
+    yields: same leaves, sizes, node keys and counts. Stored node minima
+    may only be stale-low (looser bounds), never above the rebuild's."""
+    spark, sp, fam, base, tree = setting
+    batches = [
+        pd.concat(
+            [
+                _later_traces(sp, 6, seed=53, t_shift=48),  # existing 0..5
+                _later_traces(sp, 3, seed=54, t_shift=0, first_id=300),  # new
+            ],
+            ignore_index=True,
+        ),
+        pd.concat(
+            [
+                _later_traces(sp, 4, seed=55, t_shift=96, first_id=298),  # 298..301
+                _later_traces(sp, 5, seed=56, t_shift=96),  # existing 0..4
+            ],
+            ignore_index=True,
+        ),
+    ]
+    cur = tree
+    for b in batches:
+        cur, _ = bulk_update(spark, cur, spark.createDataFrame(b))
+    merged = pd.concat([base, *batches], ignore_index=True)
+    rebuilt = build_minsigtree(spark, spark.createDataFrame(merged), sp, fam)
+
+    pd.testing.assert_frame_equal(cur.leaves, rebuilt.leaves)
+    by_el = ["entity", "level"]
+    pd.testing.assert_frame_equal(
+        cur.sizes.sort_values(by_el, ignore_index=True),
+        rebuilt.sizes.sort_values(by_el, ignore_index=True),
+    )
+    cols = ["level", "key", "route", "n_entities"]
+    pd.testing.assert_frame_equal(cur.nodes[cols], rebuilt.nodes[cols])
+    assert (cur.nodes.sig_val <= rebuilt.nodes.sig_val).all()
+    cur.unpersist()
+    rebuilt.unpersist()
