@@ -4,7 +4,8 @@ Every ``jobs/<name>.py`` exposes ``run(spark, quick=False) -> DataFrame``
 (a pandas table whose rows mirror the paper's figure/table) plus a
 ``main()`` wrapper for ``spark-submit``. Results are written to
 ``results/<name>.md`` and ``.json`` so EXPERIMENTS.md can be assembled
-from committed artifacts.
+from committed artifacts; ``--quick`` runs write to the untracked
+``results/quick/`` instead, so they never replace a full-scale table.
 """
 from __future__ import annotations
 
@@ -69,6 +70,7 @@ def get_spark(app: str):
         f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false "
+        "--conf spark.ui.showConsoleProgress=false "
         "pyspark-shell",
     )
     from pyspark.sql import SparkSession
@@ -87,13 +89,12 @@ def get_spark(app: str):
     return s
 
 
-def save(name: str, table: pd.DataFrame, note: str = "") -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    table.to_json(RESULTS_DIR / f"{name}.json", orient="records", indent=1)
-    with open(RESULTS_DIR / f"{name}.md", "w") as f:
+def save(name: str, table: pd.DataFrame, quick: bool = False) -> None:
+    out = RESULTS_DIR / "quick" if quick else RESULTS_DIR
+    out.mkdir(parents=True, exist_ok=True)
+    table.to_json(out / f"{name}.json", orient="records", indent=1)
+    with open(out / f"{name}.md", "w") as f:
         f.write(f"# {name}\n\n")
-        if note:
-            f.write(note + "\n\n")
         f.write("```\n")
         f.write(table.to_string(index=False, float_format=lambda x: f"{x:.4f}"))
         f.write("\n```\n")
@@ -106,6 +107,6 @@ def run_main(module_run, name: str) -> None:
     spark = get_spark(name)
     try:
         table = module_run(spark, quick=quick)
-        save(name, table)
+        save(name, table, quick)
     finally:
         spark.stop()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.baseline.cluster_bitmap import BitmapEngine
+from repro.baseline.cluster_bitmap import ClusterGroups
 from repro.core.adm import ADMParams
 from repro.core.query import TopKEngine
 from repro.eval.harness import (
@@ -49,14 +49,15 @@ def run(spark, quick: bool = False) -> pd.DataFrame:
     for spec in specs:
         tree, _ = build_index(spark, spec, n_h=32 if quick else 128)
         adm = ADMParams(m=spec.m)
+
+        def baseline(**opts) -> TopKEngine:
+            groups = ClusterGroups(spark, tree, **opts)
+            return TopKEngine(spark, tree, adm, groups=groups)
+
         engines = {
             "minsigtree": TopKEngine(spark, tree, adm),
-            "baseline-locality": BitmapEngine(
-                spark, tree, adm, cluster_level=1, time_window=24
-            ),
-            "baseline-coupled": BitmapEngine(
-                spark, tree, adm, cluster_mode="coupled", n_random_clusters=32
-            ),
+            "baseline-locality": baseline(cluster_level=1, time_window=24),
+            "baseline-coupled": baseline(cluster_mode="coupled", n_random_clusters=32),
         }
         queries = pick_queries(tree, n_queries)
         for method, eng in engines.items():

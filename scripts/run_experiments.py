@@ -1,6 +1,7 @@
 """Run every experiment job at full scale, writing results/ artifacts.
 
 Usage: python scripts/run_experiments.py [--quick] [job ...]
+(``--quick`` tables go to results/quick/, which git ignores.)
 """
 import sys
 import time
@@ -32,7 +33,7 @@ def main() -> None:
             t0 = time.time()
             print(f"--- running {name} (quick={quick}) ---", flush=True)
             table = mod.run(spark, quick=quick)
-            save(name, table)
+            save(name, table, quick)
             print(f"--- {name} done in {time.time() - t0:.0f}s ---", flush=True)
     finally:
         spark.stop()

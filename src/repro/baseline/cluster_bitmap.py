@@ -14,7 +14,10 @@ Exactness is preserved: bit ``j = 0`` certifies the entity visited no
 observed base cell of cluster ``j``, and a level-l query cell can only be
 shared through an observed base cell below it, so a query cell none of
 whose covering clusters are set cannot contribute to the intersection.
-The search loop and termination rule are inherited from `TopKEngine`.
+
+`ClusterGroups` is only a group table for `TopKEngine`
+(``groups=ClusterGroups(...)``): the baseline runs the MinSigTree's search
+loop and differs from it in exactly its grouping and bound.
 """
 from __future__ import annotations
 
@@ -23,22 +26,20 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.adm import ADMParams
+from repro.core.cells import mapping_df
 from repro.core.minsigtree import MinSigTree
-from repro.core.query import TopKEngine, _QueryCells
+from repro.core.query import _QueryCells, group_members
 
 
-class BitmapEngine(TopKEngine):
-    """Top-k search over cluster-membership bitmap groups (§6.2)."""
+class ClusterGroups:
+    """Entities grouped by identical cluster-membership bitmaps (§6.2)."""
 
     def __init__(
         self,
         spark: SparkSession,
         tree: MinSigTree,
-        adm: ADMParams,
         cluster_level: int = 1,
         time_window: int = 24,
-        size_aware: bool = True,
         cluster_mode: str = "locality",
         n_random_clusters: int = 32,
     ):
@@ -52,13 +53,10 @@ class BitmapEngine(TopKEngine):
           for FP-mined clusters at scale ("strong coupling", no locality,
           §6.2/§6.7), where bit vectors saturate and bounds go slack.
         """
-        super().__init__(spark, tree, adm, size_aware=size_aware)
-        self.cluster_level = cluster_level
-        self.time_window = time_window
-        self.cluster_mode = cluster_mode
+        if cluster_mode not in ("locality", "coupled"):
+            raise ValueError(f"unknown cluster_mode {cluster_mode!r}")
+        self.m = tree.m
         sp = tree.sp
-        from repro.core.cells import mapping_df
-
         mp = mapping_df(spark, sp)
         bridge = mp.filter(F.col("level") == sp.m).select(
             "base_unit", F.col("unit").alias("b_uid")
@@ -73,21 +71,22 @@ class BitmapEngine(TopKEngine):
             cluster_col = F.pmod(
                 F.col("b_cell") * 2654435761 + 97, F.lit(n_random_clusters)
             )
-        elif cluster_mode == "locality":
+        else:
             cluster_col = F.col("c_unit") * 1_000_000 + (
                 F.col("t") / time_window
             ).cast("long")
-        else:
-            raise ValueError(f"unknown cluster_mode {cluster_mode!r}")
         with_cluster = (
             base.join(F.broadcast(bridge), "b_uid")
             .join(F.broadcast(clus), "base_unit")
             .withColumn("cluster", cluster_col)
         ).persist()
-        # Entity bit vectors.
+        # Entity bit vectors, keyed by their sorted cluster ids.
         vec_pdf = (
             with_cluster.groupBy("entity")
             .agg(F.sort_array(F.collect_set("cluster")).alias("clusters"))
+            .withColumn(
+                "key", F.concat_ws(",", F.col("clusters").cast("array<string>"))
+            )
             .toPandas()
         )
         # Cover table: level-l cell -> clusters of observed base cells below.
@@ -107,49 +106,32 @@ class BitmapEngine(TopKEngine):
         )
         with_cluster.unpersist()
 
-        cluster_ids = np.sort(cover_pdf.cluster.unique())
-        self._cluster_pos = {int(c): i for i, c in enumerate(cluster_ids)}
-        self.n_clusters = len(cluster_ids)
+        self.cluster_ids = np.sort(cover_pdf.cluster.unique())
+        self.n_clusters = len(self.cluster_ids)
         # Group entities by identical vectors (the paper's bitmap rows).
-        vec_pdf["key"] = vec_pdf.clusters.map(lambda cs: ",".join(map(str, cs)))
-        groups = vec_pdf.groupby("key")
-        self._leaf_keys = []
-        self._leaf_entities = []
-        vecs = []
-        for key, grp in groups:
-            self._leaf_keys.append(key)
-            self._leaf_entities.append(grp.entity.tolist())
-            v = np.zeros(self.n_clusters, dtype=bool)
-            for c in grp.clusters.iloc[0]:
-                v[self._cluster_pos[int(c)]] = True
-            vecs.append(v)
-        self._vectors = (
-            np.stack(vecs) if vecs else np.zeros((0, self.n_clusters), bool)
+        self.keys, self.members = group_members(
+            vec_pdf.key.to_numpy(), vec_pdf.entity.to_numpy()
         )
-        # Per-level cell -> cluster membership (bool rows), for query UBs.
-        self._cover: dict[int, dict[int, np.ndarray]] = {}
+        hits = vec_pdf.clusters.explode()
+        self.vectors = np.zeros((len(self.keys), self.n_clusters), dtype=bool)
+        self.vectors[
+            pd.Index(self.keys).get_indexer(vec_pdf.key)[hits.index],
+            np.searchsorted(self.cluster_ids, hits.to_numpy(np.int64)),
+        ] = True
+        # Per level: sorted cell codes and each cell's cluster row.
+        self._cover: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for l, grp in cover_pdf.groupby("level"):
-            d: dict[int, np.ndarray] = {}
-            for cell, cgrp in grp.groupby("cell"):
-                row = np.zeros(self.n_clusters, dtype=bool)
-                row[[self._cluster_pos[int(c)] for c in cgrp.cluster]] = True
-                d[int(cell)] = row
-            self._cover[int(l)] = d
-        self._finalize_groups()  # re-index entities by bitmap group
+            cells, row = np.unique(grp.cell.to_numpy(), return_inverse=True)
+            cover = np.zeros((len(cells), self.n_clusters), dtype=bool)
+            cover[row, np.searchsorted(self.cluster_ids, grp.cluster)] = True
+            self._cover[int(l)] = (cells, cover)
 
-    def leaf_upper_bounds(self, qc: _QueryCells) -> np.ndarray:
-        """UB per bitmap group: query cells reachable through set bits."""
-        g = len(self._leaf_keys)
-        surv = np.zeros((g, self.m), dtype=np.float64)
-        for l in range(1, self.m + 1):
-            cells = qc.levels.get(l)
-            if cells is None or not len(cells):
-                continue
-            cov = self._cover.get(l, {})
-            q_mat = np.stack(
-                [cov.get(int(c), np.zeros(self.n_clusters, bool)) for c in cells]
-            )
-            surv[:, l - 1] = (q_mat @ self._vectors.T.astype(np.int64) > 0).sum(
-                axis=0
-            )
-        return self._bounds_from_surv(surv, qc)
+    def survivors(self, qc: _QueryCells) -> np.ndarray:
+        """``(G, m)`` count of query cells reachable through set bits."""
+        surv = np.zeros((len(self.keys), self.m), dtype=np.float64)
+        for l, q in qc.levels.items():
+            cells, cover = self._cover[l]
+            pos = np.minimum(np.searchsorted(cells, q), len(cells) - 1)
+            q_mat = cover[pos] & (cells[pos] == q)[:, None]
+            surv[:, l - 1] = (q_mat @ self.vectors.T).sum(axis=0)  # bool @: any shared bit
+        return surv

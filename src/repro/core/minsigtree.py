@@ -116,21 +116,12 @@ def _tree_tables(paths: pd.DataFrame, m: int) -> tuple[pd.DataFrame, pd.DataFram
 
 
 def build_minsigtree(
-    spark: SparkSession,
-    traces: DataFrame,
-    sp: SpIndex,
-    fam: HashFamily,
-    persist: bool = True,
+    spark: SparkSession, traces: DataFrame, sp: SpIndex, fam: HashFamily
 ) -> MinSigTree:
     """Build the MinSigTree (Algorithm 1) over a trace DataFrame."""
-    if persist:
-        traces = traces.persist()
-    cells = entity_level_cells(spark, traces, sp)
-    if persist:
-        cells = cells.persist()
-    lh = build_level_hashes(spark, cells, sp, fam)
-    if persist:
-        lh = lh.persist()
+    traces = traces.persist()
+    cells = entity_level_cells(spark, traces, sp).persist()
+    lh = build_level_hashes(spark, cells, sp, fam).persist()
     paths = entity_paths(entity_signatures(cells, lh, fam)).toPandas()
     nodes, leaves = _tree_tables(paths, sp.m)
     sizes = level_sizes(cells).toPandas()

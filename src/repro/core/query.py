@@ -1,17 +1,19 @@
 """Top-k query processing over the MinSigTree — Section 4.
 
-The engine follows Algorithm 2 adapted to the Spark driver/executor split:
+The engine follows Algorithm 2 adapted to the Spark driver/executor split,
+as one best-first loop over a *group table* plus one counting primitive:
 
-* the driver holds the (tiny) node/leaf tables and runs the best-first
-  loop, computing every leaf's upper bound in one vectorized pass
-  (Thm 4.1 with the materialized ``SIG_N[route]`` values — the paper's
-  *partial pruned set* variant, §4.1);
-* every exact score comes from one counting primitive, `level_counts`:
-  one distributed job that joins the persisted cell relation against the
-  (broadcast) query cells and returns per-level intersection and size
-  matrices. An exploration round passes its candidate batch (broadcast
-  join); brute force and the App.-D evaluations pass none (every other
-  entity, a filtered scan).
+* the group table says which entities are searched together and bounds
+  their per-level overlap with the query; the driver turns that into
+  every group's Thm-4.1 upper bound in one vectorized pass. `LeafGroups`
+  (default) are the MinSigTree leaves with the materialized
+  ``SIG_N[route]`` values (the paper's *partial pruned set*, §4.1);
+  `repro.baseline.cluster_bitmap.ClusterGroups` are §6.2's bitmap rows;
+* every exact score comes from `level_counts`: one distributed job that
+  joins the persisted cell relation against the (broadcast) query cells
+  and returns per-level intersection and size matrices. An exploration
+  round passes its candidate batch (broadcast join); brute force and the
+  App.-D evaluations pass none (every other entity, a filtered scan).
 
 Level-aware pruning: a constraint from the tree node at level ``i``
 applies to query cells of level ``j >= i`` only (generalized Thm 3.2 —
@@ -19,7 +21,7 @@ applies to query cells of level ``j >= i`` only (generalized Thm 3.2 —
 where a level-2 node cannot shrink the level-1 term.
 
 Termination (early stop): return once the k-th best exact score is >= the
-maximum upper bound among unexplored leaves. Pruning effectiveness is
+maximum upper bound among unexplored groups. Pruning effectiveness is
 Def. 5.1: ``(checked - k) / |E|`` (lower is better).
 """
 from __future__ import annotations
@@ -65,15 +67,54 @@ class _QueryCells:
     pdf: pd.DataFrame  # (level, cell) for the scoring join
 
 
-class TopKEngine:
-    """Exact top-k search over a built `MinSigTree`.
+def group_members(keys: np.ndarray, entities: np.ndarray) -> tuple[list, list]:
+    """Sorted distinct ``keys`` and, per key, its ``entities`` in input order."""
+    order = np.argsort(keys, kind="stable")
+    uniq, first = np.unique(keys[order], return_index=True)
+    return list(uniq), np.split(entities[order], first[1:])
 
-    ``size_aware=True`` (default) additionally caps each leaf's bound
+
+class LeafGroups:
+    """MinSigTree leaves as search groups, bounded by Thm 3.2's pruned sets."""
+
+    def __init__(self, tree: MinSigTree):
+        self.m = tree.m
+        self.keys, self.members = group_members(
+            tree.leaves.key.to_numpy(), tree.leaves.entity.to_numpy()
+        )
+        # (J, m) routing path of each leaf and the stored SIG value at
+        # every prefix of it.
+        self._route = key_paths(pd.Index(self.keys), self.m)
+        prefixes = prefix_keys(self._route).ravel()
+        sig = tree.nodes.set_index("key").sig_val.loc[prefixes]
+        self._sig = sig.to_numpy(dtype=np.int64).reshape(self._route.shape)
+
+    def survivors(self, qc: _QueryCells) -> np.ndarray:
+        """``(J, m)`` count of the query's level-l cells outside each
+        leaf's pruned set (level-aware)."""
+        surv = np.zeros((len(self.keys), self.m), dtype=np.float64)
+        for l, h_l in qc.hashes.items():
+            mask = np.ones((h_l.shape[0], len(self.keys)), dtype=bool)
+            for i in range(l):  # tree levels 1..l apply to level-l cells
+                mask &= h_l[:, self._route[:, i] - 1] >= self._sig[:, i][None, :]
+            surv[:, l - 1] = mask.sum(axis=0)
+        return surv
+
+
+class TopKEngine:
+    """Exact top-k search over the groups of a built `MinSigTree`.
+
+    ``groups`` is the group table searched: ``keys``, ``members`` (entity
+    arrays, in group order) and ``survivors(qc) -> (G, m)``, an upper
+    bound on each group member's per-level intersection with the query.
+    It defaults to the tree's leaves (`LeafGroups`).
+
+    ``size_aware=True`` (default) additionally caps each group's bound
     using the known ``|seq_e^l|`` of its member entities: the true
     per-level intersection is at most ``min(survivors, |seq_e^l|)`` and
     the member's own size appears in the ADM denominator, so
 
-    ``UB_leaf = max over members e of
+    ``UB_group = max over members e of
         Σ_l l^u (min(surv_l, sz_e_l) / (sz_e_l + |seq_q^l|))^v / max``
 
     This is never larger than the paper's artificial-entity bound
@@ -88,6 +129,7 @@ class TopKEngine:
         tree: MinSigTree,
         adm: ADMParams,
         size_aware: bool = True,
+        groups=None,
     ):
         if adm.m != tree.m:
             raise ValueError("ADM level count must match the sp-index height")
@@ -96,30 +138,19 @@ class TopKEngine:
         self.adm = adm
         self.m = tree.m
         self.size_aware = size_aware
-        # Leaf table: key -> entity list; constraint matrices (J, m) of
-        # each leaf's routing path and the stored SIG value at every prefix.
-        leaf_groups = tree.leaves.groupby("key").entity.apply(list)
-        self._leaf_keys = list(leaf_groups.index)
-        self._leaf_entities = list(leaf_groups.values)
-        self._entity_leaf = dict(zip(tree.leaves.entity, tree.leaves.key))
-        self._u = key_paths(leaf_groups.index, self.m)
-        prefixes = prefix_keys(self._u).ravel()
-        sig = tree.nodes.set_index("key").sig_val.loc[prefixes]
-        self._s = sig.to_numpy(dtype=np.int64).reshape(self._u.shape)
+        self.groups = LeafGroups(tree) if groups is None else groups
         # |seq_e^l| matrix for exact scoring.
         self._sizes = tree.sizes.pivot_table(
             index="entity", columns="level", values="sz", fill_value=0
         ).reindex(columns=range(1, self.m + 1), fill_value=0)
         self.all_entities = self._sizes.index.to_numpy()
-        self._qc_cache: dict[int, _QueryCells] = {}
-        self._finalize_groups()
-
-    def _finalize_groups(self) -> None:
-        """Index entities by their group row (leaf or bitmap group)."""
-        members = pd.Series(self._leaf_entities, dtype=object).explode()
-        row_of = pd.Series(members.index, index=members.to_numpy(np.int64))
-        self._entity_rows = row_of.loc[self.all_entities].to_numpy(np.int64)
         self._sz_matrix = self._sizes.to_numpy(dtype=np.float64)
+        # Group row of every entity, in `all_entities` order.
+        members = self.groups.members
+        rows = np.repeat(np.arange(len(members)), list(map(len, members)))
+        row_of = pd.Series(rows, index=np.concatenate(members))
+        self._entity_rows = row_of.loc[self.all_entities].to_numpy()
+        self._qc_cache: dict[int, _QueryCells] = {}
 
     def _bounds_from_surv(self, surv: np.ndarray, qc: "_QueryCells") -> np.ndarray:
         """Group upper bounds given per-group per-level survivor counts."""
@@ -164,18 +195,8 @@ class TopKEngine:
         return qc
 
     def leaf_upper_bounds(self, qc: _QueryCells) -> np.ndarray:
-        """Thm-4.1 upper bound for every leaf (vectorized, level-aware)."""
-        j = len(self._leaf_keys)
-        surv = np.zeros((j, self.m), dtype=np.float64)
-        for l in range(1, self.m + 1):
-            h_l = qc.hashes.get(l)
-            if h_l is None or not len(h_l):
-                continue
-            mask = np.ones((h_l.shape[0], j), dtype=bool)
-            for i in range(l):  # tree levels 1..l apply to level-l cells
-                mask &= h_l[:, self._u[:, i] - 1] >= self._s[:, i][None, :]
-            surv[:, l - 1] = mask.sum(axis=0)
-        return self._bounds_from_surv(surv, qc)
+        """Thm-4.1 upper bound for every group (vectorized)."""
+        return self._bounds_from_surv(self.groups.survivors(qc), qc)
 
     def level_counts(
         self, qc: _QueryCells, candidates: np.ndarray | None = None
@@ -229,7 +250,9 @@ class TopKEngine:
     def topk(
         self, entity: int, k: int, batch_size: int | None = None
     ) -> TopKResult:
-        """Algorithm 2: best-first leaf exploration with early termination."""
+        """Algorithm 2: best-first group exploration with early termination."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         qc = self.query_cells(entity)
         ubs = self.leaf_upper_bounds(qc)
         order = np.argsort(-ubs, kind="stable")
@@ -238,20 +261,15 @@ class TopKEngine:
         checked = 0
         rounds = 0
         ptr = 0
-        n_leaves = len(order)
-        while ptr < n_leaves:
-            if len(top) >= k and top[k - 1][0] >= ubs[order[ptr]] - _EPS:
-                break
+
+        def settled() -> bool:  # the k-th score beats the next group's UB
+            return len(top) >= k and top[k - 1][0] >= ubs[order[ptr]] - _EPS
+
+        while ptr < len(order) and not settled():
             cand: list[int] = []
-            while ptr < n_leaves and (
-                len(cand) < batch
-                and not (
-                    len(top) >= k and top[k - 1][0] >= ubs[order[ptr]] - _EPS
-                )
-            ):
-                cand.extend(
-                    e for e in self._leaf_entities[order[ptr]] if e != entity
-                )
+            while ptr < len(order) and len(cand) < batch and not settled():
+                members = self.groups.members[order[ptr]]
+                cand.extend(members[members != entity])
                 ptr += 1
             if not cand:
                 break
@@ -281,6 +299,8 @@ class TopKEngine:
 
     def brute_force(self, entity: int, k: int) -> TopKResult:
         """Full scan: exact ADM against every other entity (baseline oracle)."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         scores = self.all_scores(entity)
         order = sorted(
             zip(scores.to_numpy(), scores.index.to_numpy()),

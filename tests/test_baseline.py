@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.baseline.cluster_bitmap import BitmapEngine
+from repro.baseline.cluster_bitmap import ClusterGroups
 from repro.core.adm import ADMParams
 from repro.core.hashing import HashFamily
 from repro.core.minsigtree import build_minsigtree
@@ -27,22 +27,42 @@ def engines(setting):
     adm = ADMParams(m=3)
     return (
         TopKEngine(spark, tree, adm),
-        BitmapEngine(spark, tree, adm, cluster_level=1, time_window=12),
+        TopKEngine(
+            spark,
+            tree,
+            adm,
+            groups=ClusterGroups(spark, tree, cluster_level=1, time_window=12),
+        ),
         tree,
     )
 
 
 def test_groups_partition_entities(engines):
     _, bm, tree = engines
-    all_ents = sorted(e for grp in bm._leaf_entities for e in grp)
+    all_ents = sorted(e for grp in bm.groups.members for e in grp)
     assert all_ents == sorted(tree.leaves.entity)
 
 
 def test_vectors_match_membership(engines):
     """Bit j set iff the entity visited some base cell of cluster j."""
     _, bm, tree = engines
-    assert bm._vectors.shape == (len(bm._leaf_entities), bm.n_clusters)
-    assert bm._vectors.any(axis=1).all()  # every entity hits >= 1 cluster
+    groups = bm.groups
+    assert groups.vectors.shape == (len(groups.members), groups.n_clusters)
+    assert groups.vectors.any(axis=1).all()  # every entity hits >= 1 cluster
+    # Locality clusters recomputed from the level-m cells: the unit's
+    # level-1 ancestor (walked up the sp-index) and the time window t // 12.
+    sp = tree.sp
+    base = tree.cells.filter(f"level = {sp.m}").select("entity", "t", "unit").toPandas()
+    parent = sp.units.set_index("unit").parent
+    anc = base.unit
+    for _ in range(sp.m - 1):
+        anc = anc.map(parent)
+    base["cluster"] = anc * 1_000_000 + base.t // 12
+    want = base.groupby("entity").cluster.apply(set)
+    for j, members in enumerate(groups.members):
+        got = set(groups.cluster_ids[groups.vectors[j]].tolist())
+        for e in members:
+            assert got == want[e], e
 
 
 @pytest.mark.parametrize("k", [1, 5, 15])
@@ -66,7 +86,7 @@ def test_baseline_bounds_sound(engines):
     ubs = bm.leaf_upper_bounds(qc)
     scores = mst.all_scores(q)
     row_of = {}
-    for j, grp in enumerate(bm._leaf_entities):
+    for j, grp in enumerate(bm.groups.members):
         for e in grp:
             row_of[e] = j
     for e, s in scores.items():
@@ -80,7 +100,14 @@ def test_coupled_mode_exactness(setting, k):
     """The 'coupled' (hash-bucket) clustering variant is also exact."""
     spark, tree = setting
     adm = ADMParams(m=3)
-    bm = BitmapEngine(spark, tree, adm, cluster_mode="coupled", n_random_clusters=16)
+    bm = TopKEngine(
+        spark,
+        tree,
+        adm,
+        groups=ClusterGroups(
+            spark, tree, cluster_mode="coupled", n_random_clusters=16
+        ),
+    )
     ref = TopKEngine(spark, tree, adm)
     q = int(tree.leaves.entity.iloc[6])
     np.testing.assert_allclose(
@@ -93,7 +120,7 @@ def test_coupled_mode_exactness(setting, k):
 def test_unknown_cluster_mode_raises(setting):
     spark, tree = setting
     with pytest.raises(ValueError):
-        BitmapEngine(spark, tree, ADMParams(m=3), cluster_mode="bogus")
+        ClusterGroups(spark, tree, cluster_mode="bogus")
 
 
 def test_baseline_stats_sane(engines):

@@ -71,6 +71,23 @@ def test_local_engine_exact(setting, fraction):
     )
 
 
+def test_level_counts_match_spark(setting):
+    """The store-backed counting primitive returns the Spark engine's
+    intersection and size matrices, for a candidate array and for every
+    other entity (``None``)."""
+    spark, tree, store = setting
+    store.set_cache_fraction(0.5)
+    adm = ADMParams(m=3)
+    local = LocalScoringEngine(spark, tree, adm, store)
+    ref = TopKEngine(spark, tree, adm)
+    qc = ref.query_cells(int(tree.leaves.entity.iloc[7]))
+    for cands in (tree.leaves.entity.to_numpy()[::3], None):
+        inter, sizes = local.level_counts(qc, cands)
+        ref_inter, ref_sizes = ref.level_counts(qc, cands)
+        np.testing.assert_array_equal(inter, ref_inter)
+        np.testing.assert_array_equal(sizes, ref_sizes)
+
+
 def test_cache_fraction_bounds(setting):
     _, _, store = setting
     store.set_cache_fraction(0.5)

@@ -25,9 +25,9 @@ def example_tree(spark):
         spark.createDataFrame(example_traces()),
         example_sp_index(),
         example_hash_family(),
-        persist=False,
     )
-    return tree
+    yield tree
+    tree.unpersist()
 
 
 def test_example_32_level1_groups(example_tree):

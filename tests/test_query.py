@@ -27,9 +27,9 @@ def example_engine(spark):
         spark.createDataFrame(example_traces()),
         example_sp_index(),
         example_hash_family(),
-        persist=False,
     )
-    return TopKEngine(spark, tree, ADMParams(m=2, u=1.0, v=1.0), size_aware=False)
+    yield TopKEngine(spark, tree, ADMParams(m=2, u=1.0, v=1.0), size_aware=False)
+    tree.unpersist()
 
 
 def test_example_41_top1_is_ea(example_engine):
@@ -44,7 +44,7 @@ def test_example_41_pruning(example_engine):
     eng = example_engine
     qc = eng.query_cells(EC)
     ubs = eng.leaf_upper_bounds(qc)
-    by_key = dict(zip(eng._leaf_keys, ubs))
+    by_key = dict(zip(eng.groups.keys, ubs))
     assert by_key["2/1"] == pytest.approx(1.0)  # query's own leaf
     assert by_key["2/2"] == pytest.approx((1 * (2 / 4)) / 1.5)  # e_b pruned low
     assert by_key["1/1"] == pytest.approx((1 * (1 / 3) + 2 * (2 / 4)) / 1.5)
@@ -100,11 +100,12 @@ def test_upper_bounds_are_sound(random_setup):
         qc = eng.query_cells(q)
         ubs = eng.leaf_upper_bounds(qc)
         scores = eng.all_scores(q)
-        leaf_row = {key: j for j, key in enumerate(eng._leaf_keys)}
+        leaf_row = {key: j for j, key in enumerate(eng.groups.keys)}
+        entity_leaf = dict(zip(tree.leaves.entity, tree.leaves.key))
         for e, s in scores.items():
             if e == q:
                 continue
-            j = leaf_row[eng._entity_leaf[e]]
+            j = leaf_row[entity_leaf[e]]
             assert ubs[j] >= s - 1e-9, (e, ubs[j], s)
 
 
@@ -132,6 +133,18 @@ def test_k_larger_than_population(random_setup):
     res = eng.topk(q, tree.n_entities + 10)
     assert len(res.results) == tree.n_entities - 1
     assert res.checked == tree.n_entities - 1
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_raises(random_setup, k):
+    """k < 1 is rejected by both the index search and the full scan."""
+    spark, tree = random_setup
+    eng = TopKEngine(spark, tree, ADMParams(m=3))
+    q = int(tree.leaves.entity.iloc[0])
+    with pytest.raises(ValueError):
+        eng.topk(q, k)
+    with pytest.raises(ValueError):
+        eng.brute_force(q, k)
 
 
 def test_results_sorted_descending(random_setup):
