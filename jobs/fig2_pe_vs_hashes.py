@@ -30,9 +30,7 @@ def run(spark, quick: bool = False) -> pd.DataFrame:
             tree, _ = build_index(spark, spec, n_h=n_h)
             eng = TopKEngine(spark, tree, ADMParams(m=spec.m))
             queries = pick_queries(tree, n_queries)
-            seq_m = float(
-                tree.sizes[tree.sizes.level == spec.m].sz.mean()
-            )
+            seq_m = float(tree.sizes[:, -1].mean())
             for k in KS:
                 pes, checks, kth = [], [], []
                 for q in queries:

@@ -22,7 +22,6 @@ loop and differs from it in exactly its grouping and bound.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
@@ -80,15 +79,7 @@ class ClusterGroups:
             .join(F.broadcast(clus), "base_unit")
             .withColumn("cluster", cluster_col)
         ).persist()
-        # Entity bit vectors, keyed by their sorted cluster ids.
-        vec_pdf = (
-            with_cluster.groupBy("entity")
-            .agg(F.sort_array(F.collect_set("cluster")).alias("clusters"))
-            .withColumn(
-                "key", F.concat_ws(",", F.col("clusters").cast("array<string>"))
-            )
-            .toPandas()
-        )
+        pairs = with_cluster.select("entity", "cluster").distinct().toPandas()
         # Cover table: level-l cell -> clusters of observed base cells below.
         n_units = sp.n_units_total
         anc = mp.select("base_unit", "level", F.col("unit").alias("anc_unit"))
@@ -108,16 +99,13 @@ class ClusterGroups:
 
         self.cluster_ids = np.sort(cover_pdf.cluster.unique())
         self.n_clusters = len(self.cluster_ids)
-        # Group entities by identical vectors (the paper's bitmap rows).
-        self.keys, self.members = group_members(
-            vec_pdf.key.to_numpy(), vec_pdf.entity.to_numpy()
-        )
-        hits = vec_pdf.clusters.explode()
-        self.vectors = np.zeros((len(self.keys), self.n_clusters), dtype=bool)
-        self.vectors[
-            pd.Index(self.keys).get_indexer(vec_pdf.key)[hits.index],
-            np.searchsorted(self.cluster_ids, hits.to_numpy(np.int64)),
-        ] = True
+        # Entity bit rows, grouped by identical rows (the paper's bitmap
+        # rows); group keys are integer ids into the unique rows.
+        entities, row = np.unique(pairs.entity.to_numpy(), return_inverse=True)
+        bits = np.zeros((len(entities), self.n_clusters), dtype=bool)
+        bits[row, np.searchsorted(self.cluster_ids, pairs.cluster.to_numpy())] = True
+        self.vectors, group = np.unique(bits, axis=0, return_inverse=True)
+        self.keys, self.members = group_members(group.ravel(), entities)
         # Per level: sorted cell codes and each cell's cluster row.
         self._cover: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for l, grp in cover_pdf.groupby("level"):

@@ -68,7 +68,3 @@ def entity_level_cells_pdf(traces: pd.DataFrame, sp: SpIndex) -> pd.DataFrame:
         .sort_values(["entity", "level", "cell"], ignore_index=True)
     )
 
-
-def level_sizes(cells: DataFrame) -> DataFrame:
-    """``|seq_e^l|`` for every entity and level: ``(entity, level, sz)``."""
-    return cells.groupBy("entity", "level").agg(F.count("*").alias("sz"))

@@ -49,7 +49,9 @@ class HashFamily:
         """Vectorized: (n_codes,) -> (n_codes, n_h) int64 hash matrix."""
         codes = np.asarray(codes, dtype=np.int64)
         a, b = self._coeffs()
-        out = (codes[:, None] * a[None, :] + b[None, :]) % _P % self.r
+        # Reducing mod P first keeps (c mod P)·a + b < 2^63: exact int64
+        # arithmetic for every code, where c·a would wrap.
+        out = ((codes[:, None] % _P) * a[None, :] + b[None, :]) % _P % self.r
         if self.table:
             for i, c in enumerate(codes):
                 if int(c) in self.table:

@@ -1,54 +1,107 @@
 """MinSigTree construction and updates — Sections 3.2.2-3.2.3.
 
-The tree is materialized as two small relations (the paper stores two
-integers per node — routing index and the hash value at it):
+A node is fully determined by its members' routing paths: it stores two
+integers, the routing index and the minimum of the members' signature
+values at that index (§3.2.2). The driver keeps one entity-sorted set of
+aligned arrays — ``entity``, ``path`` (routing index per level),
+``route_vals`` (signature value at it) and ``sizes`` (``|seq_e^l|``) — and
+`_tree_tables` derives the two small relations the search reads:
 
-* ``nodes``: one row per tree node — ``(level, key, route, sig_val,
-  n_entities)`` where ``key`` is the "/"-joined routing path from the root
-  and ``sig_val = min over subtree entities of sig_e^level[route]`` (the
-  materialized ``SIG_N[u]`` of §3.2.2);
-* ``leaves``: ``(entity, key)`` leaf membership (full ``m``-length path).
+* ``nodes``: ``(level, key, route, sig_val, n_entities)``, one row per
+  node; ``key`` is the int64 `path_keys` code of the routing prefix and
+  ``sig_val`` the min over subtree entities of ``sig_e^level[route]``;
+* ``leaves``: ``(entity, key)``, one row per entity.
 
-Signatures and routing paths are Catalyst aggregations; the per-entity
-paths (one row per entity) are collected to the driver once, and both
-tables are derived from them there with pandas (≤ ``m·|E|`` tiny rows),
-where the best-first search runs. The per-cell relations (``cells``,
-``level_hashes``) stay distributed and persisted for scoring joins.
+Signatures, paths and sizes are Catalyst aggregations collected to the
+driver once per build or update (one row per entity). The per-cell
+relations (``cells``, ``level_hashes``) stay distributed for scoring.
 
-Bulk update (§3.2.3) appends new trace records: affected entities get
-fresh signatures, move leaves, and node values merge via
-``SIG_N := min(SIG_N, SIG_new)``. Removal does not raise stale node
-minima — a too-small ``SIG_N`` only loosens upper bounds, never breaks
-exactness (tested).
+Bulk update (§3.2.3) replaces the affected entities' rows and derives the
+tables again, so node values equal a fresh build's. Its merged relations
+are local checkpoints: plans stay bounded over chained updates, at the
+price of lineage-based recovery.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.cells import entity_level_cells, level_sizes
+from repro.core.cells import entity_level_cells
 from repro.core.hashing import HashFamily, build_level_hashes
 from repro.core.signatures import entity_paths, entity_signatures
 from repro.spindex.builder import SpIndex
 
 
+def path_keys(path: np.ndarray, n_h: int) -> np.ndarray:
+    """``(E, m)`` int64 node keys of ``(E, m)`` routing paths.
+
+    Column ``i`` holds the level-``i+1`` node key: the routing prefix read
+    as a base-``(n_h+1)`` number (digits ``1..n_h``). Key order is the
+    lexicographic order of the prefixes, and keys of different levels
+    never collide. Raises `ValueError` when ``(n_h+1)^m`` overflows int64.
+    """
+    path = np.asarray(path, dtype=np.int64)
+    m = path.shape[1]
+    if (n_h + 1) ** m > 2**63:
+        raise ValueError(f"node keys overflow int64 at n_h={n_h}, m={m}")
+    keys = np.empty(path.shape, dtype=np.int64)
+    acc = np.zeros(len(path), dtype=np.int64)
+    for i in range(m):
+        acc = acc * (n_h + 1) + path[:, i]
+        keys[:, i] = acc
+    return keys
+
+
+def _tree_tables(
+    entity: np.ndarray, path: np.ndarray, route_vals: np.ndarray, n_h: int
+) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Node and leaf tables of entity-aligned routing paths and values."""
+    keys = path_keys(path, n_h)
+    levels = np.arange(1, path.shape[1] + 1, dtype=np.int32)
+    nodes = (
+        pd.DataFrame(
+            {
+                "level": np.tile(levels, len(path)),
+                "key": keys.ravel(),
+                "route": path.ravel(),
+                "sig_val": route_vals.ravel(),
+            }
+        )
+        .groupby(["level", "key", "route"], as_index=False)
+        .agg(sig_val=("sig_val", "min"), n_entities=("sig_val", "size"))
+    )
+    return nodes, pd.DataFrame({"entity": entity, "key": keys[:, -1]})
+
+
 @dataclass
 class MinSigTree:
-    """A built index plus the distributed relations needed to query it."""
+    """A built index plus the distributed relations needed to query it.
+
+    ``entity``, ``path``, ``route_vals`` and ``sizes`` are row-aligned and
+    sorted by entity; ``nodes`` and ``leaves`` are derived from them.
+    """
 
     sp: SpIndex
     fam: HashFamily
-    nodes: pd.DataFrame  # (level, key, route, sig_val, n_entities)
-    leaves: pd.DataFrame  # (entity, key)
-    sizes: pd.DataFrame  # (entity, level, sz)  — |seq_e^l|
-    cells: DataFrame  # (entity, level, t, unit, cell)   [persisted]
-    level_hashes: DataFrame  # (level, t, unit, cell, h) [persisted]
-    traces: DataFrame  # raw (entity, t, base_unit)      [persisted]
+    entity: np.ndarray  # (E,) int64, sorted
+    path: np.ndarray  # (E, m) routing index per level, 1-based
+    route_vals: np.ndarray  # (E, m) sig_e^l at the routing index
+    sizes: np.ndarray  # (E, m) |seq_e^l|
+    cells: DataFrame  # (entity, level, t, unit, cell)
+    level_hashes: DataFrame  # (level, t, unit, cell, h)
+    traces: DataFrame  # raw (entity, t, base_unit)
+    nodes: pd.DataFrame = field(init=False)  # (level, key, route, sig_val, n_entities)
+    leaves: pd.DataFrame = field(init=False)  # (entity, key)
+
+    def __post_init__(self):
+        self.nodes, self.leaves = _tree_tables(
+            self.entity, self.path, self.route_vals, self.fam.n_h
+        )
 
     @property
     def m(self) -> int:
@@ -56,7 +109,7 @@ class MinSigTree:
 
     @property
     def n_entities(self) -> int:
-        return len(self.leaves)
+        return len(self.entity)
 
     def index_size_bytes(self) -> int:
         """Paper's accounting: 2 ints per node + 1 pointer per leaf entity."""
@@ -64,6 +117,8 @@ class MinSigTree:
         return 2 * 4 * n_nodes + 8 * len(self.leaves)
 
     def unpersist(self) -> None:
+        """Drop the cached relations. An updated tree's local checkpoints
+        are not caches: Spark frees them once the tree is garbage."""
         for df in (self.cells, self.level_hashes, self.traces):
             try:
                 df.unpersist()
@@ -71,70 +126,31 @@ class MinSigTree:
                 pass
 
 
-def prefix_keys(path: np.ndarray) -> np.ndarray:
-    """``(n, m)`` "/"-joined routing prefixes of ``(n, m)`` routing paths.
+def _arrays(paths: pd.DataFrame, m: int) -> dict[str, np.ndarray]:
+    """Entity-sorted arrays of collected `entity_paths` rows."""
+    paths = paths.sort_values("entity", ignore_index=True)
 
-    Column ``i`` holds each path's level-``i+1`` node key, so the last
-    column is the leaf key.
-    """
-    keys = np.empty(path.shape, dtype=object)
-    if path.size:
-        pref = pd.Series(path[:, 0]).astype(str)
-        keys[:, 0] = pref
-        for i in range(1, path.shape[1]):
-            pref = pref + "/" + pd.Series(path[:, i]).astype(str)
-            keys[:, i] = pref
-    return keys
+    def matrix(col: str, dtype) -> np.ndarray:
+        return np.array(paths[col].tolist(), dtype=dtype).reshape(-1, m)
 
-
-def key_paths(keys: pd.Series | pd.Index, m: int) -> np.ndarray:
-    """``(n, m)`` routing paths of "/"-joined leaf keys."""
-    return np.array(keys.str.split("/").tolist(), dtype=np.int64).reshape(-1, m)
-
-
-def _tree_tables(paths: pd.DataFrame, m: int) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Node and leaf tables from collected `entity_paths` rows."""
-    route = np.array(paths.path.tolist(), dtype=np.int32).reshape(-1, m)
-    keys = prefix_keys(route)
-    nodes = (
-        pd.DataFrame(
-            {
-                "level": np.tile(np.arange(1, m + 1, dtype=np.int32), len(route)),
-                "key": keys.ravel(),
-                "route": route.ravel(),
-                "sig_val": np.array(paths.route_vals.tolist(), np.int64).ravel(),
-            }
-        )
-        .groupby(["level", "key", "route"], as_index=False)
-        .agg(sig_val=("sig_val", "min"), n_entities=("sig_val", "size"))
-        .sort_values(["level", "key"], ignore_index=True)
-    )
-    leaves = pd.DataFrame(
-        {"entity": paths.entity.to_numpy(), "key": keys[:, -1]}
-    ).sort_values("entity", ignore_index=True)
-    return nodes, leaves
+    return {
+        "entity": paths.entity.to_numpy(dtype=np.int64),
+        "path": matrix("path", np.int32),
+        "route_vals": matrix("route_vals", np.int64),
+        "sizes": matrix("sizes", np.int64),
+    }
 
 
 def build_minsigtree(
     spark: SparkSession, traces: DataFrame, sp: SpIndex, fam: HashFamily
 ) -> MinSigTree:
     """Build the MinSigTree (Algorithm 1) over a trace DataFrame."""
+    path_keys(np.zeros((0, sp.m)), fam.n_h)  # key range, before any Spark work
     traces = traces.persist()
     cells = entity_level_cells(spark, traces, sp).persist()
     lh = build_level_hashes(spark, cells, sp, fam).persist()
-    paths = entity_paths(entity_signatures(cells, lh, fam)).toPandas()
-    nodes, leaves = _tree_tables(paths, sp.m)
-    sizes = level_sizes(cells).toPandas()
-    return MinSigTree(
-        sp=sp,
-        fam=fam,
-        nodes=nodes,
-        leaves=leaves,
-        sizes=sizes,
-        cells=cells,
-        level_hashes=lh,
-        traces=traces,
-    )
+    rows = _arrays(entity_paths(entity_signatures(cells, lh, fam)).toPandas(), sp.m)
+    return MinSigTree(sp, fam, **rows, cells=cells, level_hashes=lh, traces=traces)
 
 
 def bulk_update(
@@ -144,68 +160,49 @@ def bulk_update(
 
     Entities appearing in ``new_traces`` may be existing (their records are
     appended and signatures recomputed — steps 1-4 of §3.2.3) or brand new
-    (steps 3-4 only). Node signature values merge by min; leaf membership
-    moves. The timing covers signature recomputation and index surgery,
-    which is what Fig. 8 measures.
+    (steps 3-4 only). Their rows replace the old ones, and nodes and leaves
+    are derived again as in a build. The source tree is left untouched.
+    The timing covers signature recomputation and index surgery, which is
+    what Fig. 8 measures.
     """
     t0 = time.perf_counter()
     new_traces = new_traces.persist()
     updated = new_traces.select("entity").distinct()
 
-    merged_traces = tree.traces.unionByName(new_traces).persist()
+    # Local checkpoints cut the merged relations' lineage, so plans do not
+    # grow with every chained update.
+    merged_traces = tree.traces.unionByName(new_traces).localCheckpoint(eager=False)
     # Recompute the full per-entity relations for affected entities only.
     affected_traces = merged_traces.join(F.broadcast(updated), "entity")
     new_cells = entity_level_cells(spark, affected_traces, tree.sp).persist()
     merged_cells = (
         tree.cells.join(F.broadcast(updated), "entity", "left_anti")
         .unionByName(new_cells)
-        .persist()
+        .localCheckpoint(eager=False)
     )
     # Cell hashes are a pure function of the cell (min over *all* grid
     # children — see hashing.build_level_hashes), so existing rows stay
-    # valid; only hash cells never observed before and union-dedup.
-    lh_new = build_level_hashes(spark, new_cells, tree.sp, tree.fam)
-    lh = (
-        tree.level_hashes.unionByName(lh_new)
-        .dropDuplicates(["level", "cell"])
-        .persist()
+    # valid; only cells never observed before are hashed.
+    unseen = new_cells.join(
+        tree.level_hashes.select("level", "cell"), ["level", "cell"], "left_anti"
     )
-    paths = entity_paths(entity_signatures(new_cells, lh, tree.fam)).toPandas()
-    new_nodes, new_leaves = _tree_tables(paths, tree.m)
-
-    upd_ids = set(new_leaves.entity)
-    leaves = pd.concat(
-        [tree.leaves[~tree.leaves.entity.isin(upd_ids)], new_leaves],
-        ignore_index=True,
-    ).sort_values("entity", ignore_index=True)
-    nodes = (
-        pd.concat([tree.nodes, new_nodes], ignore_index=True)
-        .groupby(["level", "key", "route"], as_index=False)
-        .agg(sig_val=("sig_val", "min"))
-        .sort_values(["level", "key"], ignore_index=True)
+    lh_new = build_level_hashes(spark, unseen, tree.sp, tree.fam)
+    lh = tree.level_hashes.unionByName(lh_new).localCheckpoint(eager=False)
+    new = _arrays(
+        entity_paths(entity_signatures(new_cells, lh, tree.fam)).toPandas(), tree.m
     )
-    prefixes = prefix_keys(key_paths(leaves.key, tree.m)).ravel()
-    counts = pd.Series(prefixes).value_counts()
-    nodes["n_entities"] = nodes.key.map(counts).fillna(0).astype("int64")
-    # An emptied leaf (every entity moved away) is removed, as in §3.2.3.
-    nodes = nodes[nodes.n_entities > 0].reset_index(drop=True)
-    new_sizes = level_sizes(new_cells).toPandas()
-    sizes = pd.concat(
-        [
-            tree.sizes[~tree.sizes.entity.isin(upd_ids)],
-            new_sizes,
-        ],
-        ignore_index=True,
-    )
-    elapsed = time.perf_counter() - t0
+    keep = ~np.isin(tree.entity, new["entity"])
+    order = np.argsort(np.concatenate([tree.entity[keep], new["entity"]]))
+    rows = {
+        name: np.concatenate([getattr(tree, name)[keep], arr])[order]
+        for name, arr in new.items()
+    }
+    # Release the batch's frames: nothing cached then pins the checkpoints,
+    # so they are freed once the tree is garbage; merged_cells recomputes
+    # new_cells from the materialized merged_traces on first use.
+    new_traces.unpersist()
+    new_cells.unpersist()
     out = MinSigTree(
-        sp=tree.sp,
-        fam=tree.fam,
-        nodes=nodes,
-        leaves=leaves,
-        sizes=sizes,
-        cells=merged_cells,
-        level_hashes=lh,
-        traces=merged_traces,
+        tree.sp, tree.fam, **rows, cells=merged_cells, level_hashes=lh, traces=merged_traces
     )
-    return out, elapsed
+    return out, time.perf_counter() - t0

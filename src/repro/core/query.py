@@ -34,7 +34,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.adm import ADMParams, adm_score
-from repro.core.minsigtree import MinSigTree, key_paths, prefix_keys
+from repro.core.minsigtree import MinSigTree, path_keys
 
 _EPS = 1e-12
 
@@ -79,14 +79,13 @@ class LeafGroups:
 
     def __init__(self, tree: MinSigTree):
         self.m = tree.m
-        self.keys, self.members = group_members(
-            tree.leaves.key.to_numpy(), tree.leaves.entity.to_numpy()
-        )
+        keys = path_keys(tree.path, tree.fam.n_h)
+        self.keys, self.members = group_members(keys[:, -1], tree.entity)
         # (J, m) routing path of each leaf and the stored SIG value at
         # every prefix of it.
-        self._route = key_paths(pd.Index(self.keys), self.m)
-        prefixes = prefix_keys(self._route).ravel()
-        sig = tree.nodes.set_index("key").sig_val.loc[prefixes]
+        first = np.unique(keys[:, -1], return_index=True)[1]
+        self._route = tree.path[first]
+        sig = tree.nodes.set_index("key").sig_val.loc[keys[first].ravel()]
         self._sig = sig.to_numpy(dtype=np.int64).reshape(self._route.shape)
 
     def survivors(self, qc: _QueryCells) -> np.ndarray:
@@ -139,12 +138,9 @@ class TopKEngine:
         self.m = tree.m
         self.size_aware = size_aware
         self.groups = LeafGroups(tree) if groups is None else groups
-        # |seq_e^l| matrix for exact scoring.
-        self._sizes = tree.sizes.pivot_table(
-            index="entity", columns="level", values="sz", fill_value=0
-        ).reindex(columns=range(1, self.m + 1), fill_value=0)
-        self.all_entities = self._sizes.index.to_numpy()
-        self._sz_matrix = self._sizes.to_numpy(dtype=np.float64)
+        # Sorted entities and their |seq_e^l| rows, for exact scoring.
+        self.all_entities = tree.entity
+        self._sz_matrix = tree.sizes.astype(np.float64)
         # Group row of every entity, in `all_entities` order.
         members = self.groups.members
         rows = np.repeat(np.arange(len(members)), list(map(len, members)))
@@ -230,7 +226,11 @@ class TopKEngine:
             )
             rows = pd.Index(candidates).get_indexer(cnt.entity)
             inter[rows, cnt.level.to_numpy() - 1] = cnt.cnt.to_numpy()
-        return inter, self._sizes.reindex(candidates).to_numpy(dtype=np.float64)
+        return inter, self._sizes_of(candidates)
+
+    def _sizes_of(self, entities: np.ndarray) -> np.ndarray:
+        """``(n, m)`` ``|seq_e^l|`` rows of indexed ``entities``."""
+        return self._sz_matrix[np.searchsorted(self.all_entities, entities)]
 
     def _others(self, entity: int) -> np.ndarray:
         """Every indexed entity except ``entity``, in index order."""

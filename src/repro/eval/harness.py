@@ -77,9 +77,7 @@ def build_index(
 
 def pick_queries(tree: MinSigTree, n_queries: int, seed: int = 13) -> np.ndarray:
     """Deterministic sample of query entities (active ones preferred)."""
-    # Sorted by entity: Spark returns ``tree.sizes`` in an order that
-    # depends on the shuffle partition count.
-    sizes = tree.sizes[tree.sizes.level == tree.m].set_index("entity").sz.sort_index()
+    sizes = pd.Series(tree.sizes[:, -1], index=tree.entity)
     active = sizes[sizes >= max(2, sizes.median() / 2)].index.to_numpy()
     pool = active if len(active) >= n_queries else sizes.index.to_numpy()
     rng = np.random.default_rng(seed)

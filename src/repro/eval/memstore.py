@@ -113,4 +113,4 @@ class LocalScoringEngine(TopKEngine):
                 qs = qsets.get(l)
                 if qs:
                     cnt[i, l - 1] = sum(1 for c in cells if int(c) in qs)
-        return cnt, self._sizes.reindex(candidates).to_numpy(dtype=np.float64)
+        return cnt, self._sizes_of(candidates)

@@ -1,13 +1,12 @@
 """Tests for ST-cell set sequences (Section 3.1)."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.cells import (
-    entity_level_cells,
-    entity_level_cells_pdf,
-    level_sizes,
-)
+from repro.core.cells import entity_level_cells, entity_level_cells_pdf
+from repro.core.hashing import HashFamily
+from repro.core.minsigtree import build_minsigtree
 from repro.mobility.im_model import generate_traces_pdf
 from repro.oracle import assert_equivalent
 from repro.spindex.builder import build_sp_index
@@ -30,6 +29,14 @@ def cells(spark, sp, traces_pdf):
     df.persist().count()
     yield df
     df.unpersist()
+
+
+@pytest.fixture(scope="module")
+def tree(spark, sp, traces_pdf):
+    fam = HashFamily(n_h=8, r=sp.n_base * 48, seed=2)
+    tree = build_minsigtree(spark, spark.createDataFrame(traces_pdf), sp, fam)
+    yield tree
+    tree.unpersist()
 
 
 def test_example_31_rollup(spark):
@@ -74,15 +81,22 @@ def test_every_level_present(cells, sp):
     assert lv == set(range(1, sp.m + 1))
 
 
-def test_level_sizes_monotone(cells, sp):
+def test_level_sizes_monotone(tree, sp):
     """|seq^i| <= |seq^{i+1}|: rolling up can only merge cells."""
-    sz = level_sizes(cells).toPandas().pivot(index="entity", columns="level", values="sz")
-    for i in range(1, sp.m):
-        assert (sz[i] <= sz[i + 1]).all()
+    assert (tree.sizes[:, :-1] <= tree.sizes[:, 1:]).all()
 
 
-def test_level_sizes_against_oracle(spark, cells, traces_pdf, sp):
-    got = level_sizes(cells).withColumnRenamed("sz", "sz")
+def test_level_sizes_against_oracle(spark, tree, traces_pdf, sp):
+    """The tree's size matrix holds the per-level cell counts."""
+    got = spark.createDataFrame(
+        pd.DataFrame(
+            {
+                "entity": np.repeat(tree.entity, sp.m),
+                "level": np.tile(np.arange(1, sp.m + 1), len(tree.entity)),
+                "sz": tree.sizes.ravel(),
+            }
+        )
+    )
     n_units = sp.n_units_total
     sql = f"""
         SELECT entity, level, COUNT(*) AS sz FROM (

@@ -5,7 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.cells import entity_level_cells
-from repro.core.hashing import HashFamily, build_level_hashes
+from repro.core.hashing import _P, HashFamily, build_level_hashes
 from repro.core.signatures import entity_signatures
 from repro.mobility.im_model import generate_traces_pdf
 from repro.spindex.builder import build_sp_index
@@ -32,6 +32,15 @@ def built(spark, sp, fam):
     yield cells, lh
     cells.unpersist()
     lh.unpersist()
+
+
+@pytest.mark.parametrize("code", [2**40 + 7, 2**62])
+def test_hash_codes_exact_for_large_codes(fam, code):
+    """((a_u·c + b_u) mod P) mod r in exact integer arithmetic, also where
+    c·a_u does not fit in int64."""
+    a, b = fam._coeffs()
+    want = [((int(a_u) * code + int(b_u)) % _P) % fam.r for a_u, b_u in zip(a, b)]
+    assert fam.hash_codes(np.array([code])).tolist() == [want]
 
 
 def test_hash_codes_shape_and_range(fam):

@@ -31,8 +31,7 @@ def setup(spark):
 
 
 def _query_entity(tree) -> int:
-    sizes = tree.sizes[tree.sizes.level == tree.m]
-    return int(sizes.sort_values("sz").entity.iloc[-1])  # most active
+    return int(tree.entity[np.argmax(tree.sizes[:, -1])])  # most active
 
 
 def test_intersection_counts_match_duckdb(setup):
@@ -63,7 +62,15 @@ def test_intersection_counts_match_duckdb(setup):
 
 def test_level_sizes_match_duckdb(setup):
     spark, sp, tree, eng = setup
-    got = spark.createDataFrame(tree.sizes)
+    got = spark.createDataFrame(
+        pd.DataFrame(
+            {
+                "entity": np.repeat(tree.entity, tree.m),
+                "level": np.tile(np.arange(1, tree.m + 1), len(tree.entity)),
+                "sz": tree.sizes.ravel(),
+            }
+        )
+    )
     cells_pdf = tree.cells.select("entity", "level", "cell").toPandas()
     sql = "SELECT entity, level, COUNT(*) AS sz FROM cells GROUP BY entity, level"
     assert_equivalent(got, sql, cells=cells_pdf)

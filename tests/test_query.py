@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.adm import ADMParams
 from repro.core.hashing import HashFamily
-from repro.core.minsigtree import build_minsigtree
+from repro.core.minsigtree import build_minsigtree, path_keys
 from repro.core.query import TopKEngine
 from repro.mobility.im_model import IMParams, generate_traces_pdf
 from repro.spindex.builder import build_sp_index
@@ -45,9 +45,11 @@ def test_example_41_pruning(example_engine):
     qc = eng.query_cells(EC)
     ubs = eng.leaf_upper_bounds(qc)
     by_key = dict(zip(eng.groups.keys, ubs))
-    assert by_key["2/1"] == pytest.approx(1.0)  # query's own leaf
-    assert by_key["2/2"] == pytest.approx((1 * (2 / 4)) / 1.5)  # e_b pruned low
-    assert by_key["1/1"] == pytest.approx((1 * (1 / 3) + 2 * (2 / 4)) / 1.5)
+    n_h = eng.tree.fam.n_h
+    leaf = {p: path_keys([p], n_h)[0, -1] for p in ((2, 1), (2, 2), (1, 1))}
+    assert by_key[leaf[2, 1]] == pytest.approx(1.0)  # query's own leaf
+    assert by_key[leaf[2, 2]] == pytest.approx((1 * (2 / 4)) / 1.5)  # e_b pruned low
+    assert by_key[leaf[1, 1]] == pytest.approx((1 * (1 / 3) + 2 * (2 / 4)) / 1.5)
     res = eng.topk(EC, 1, batch_size=1)
     assert res.checked == 2  # e_a and e_d; e_b never exact-checked
     assert res.rounds == 2

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.adm import ADMParams
 from repro.core.hashing import HashFamily
-from repro.core.minsigtree import build_minsigtree, bulk_update
+from repro.core.minsigtree import build_minsigtree, bulk_update, path_keys
 from repro.core.query import TopKEngine
 from repro.mobility.im_model import generate_traces_pdf
 from repro.spindex.builder import build_sp_index
@@ -42,9 +42,9 @@ def test_update_existing_entities(setting):
         .drop_duplicates()
         .level.value_counts()
     )
-    got = updated.sizes[updated.sizes.entity == 3].set_index("level").sz
+    got = updated.sizes[np.searchsorted(updated.entity, 3)]
     for lvl in range(1, 4):
-        assert got[lvl] == expect[lvl]
+        assert got[lvl - 1] == expect[lvl]
     updated.unpersist()
 
 
@@ -82,8 +82,8 @@ def test_update_preserves_exactness(setting):
 
 
 def test_node_values_conservative(setting):
-    """Stored SIG values never exceed the true min over current members
-    (a stale, too-small value only loosens bounds — exactness survives)."""
+    """Stored SIG values equal the true min over current members: an
+    update re-derives the nodes, so no stale minimum is left behind."""
     spark, sp, fam, base, tree = setting
     new = _later_traces(sp, 12, seed=49, t_shift=48)
     updated, _ = bulk_update(spark, tree, spark.createDataFrame(new))
@@ -92,13 +92,14 @@ def test_node_values_conservative(setting):
     paths = entity_paths(
         entity_signatures(updated.cells, updated.level_hashes, fam)
     ).toPandas()
-    true_min: dict[str, int] = {}
-    for r in paths.itertuples():
+    keys = path_keys(np.array(paths.path.tolist()), fam.n_h)
+    true_min: dict[int, int] = {}
+    for j, r in enumerate(paths.itertuples()):
         for i in range(updated.m):
-            pk = "/".join(str(x) for x in r.path[: i + 1])
+            pk = int(keys[j, i])
             true_min[pk] = min(true_min.get(pk, 1 << 62), int(r.route_vals[i]))
     for r in updated.nodes.itertuples():
-        assert r.sig_val <= true_min[r.key], r.key
+        assert r.sig_val == true_min[r.key], r.key
     updated.unpersist()
 
 
@@ -116,8 +117,7 @@ def test_update_counts_rebuilt_from_leaves(setting):
 
 def test_chained_updates_match_rebuild(setting):
     """Two chained updates yield the tree a fresh build of the merged traces
-    yields: same leaves, sizes, node keys and counts. Stored node minima
-    may only be stale-low (looser bounds), never above the rebuild's."""
+    yields: same leaves, sizes, node keys, counts and stored minima."""
     spark, sp, fam, base, tree = setting
     batches = [
         pd.concat(
@@ -142,13 +142,52 @@ def test_chained_updates_match_rebuild(setting):
     rebuilt = build_minsigtree(spark, spark.createDataFrame(merged), sp, fam)
 
     pd.testing.assert_frame_equal(cur.leaves, rebuilt.leaves)
-    by_el = ["entity", "level"]
-    pd.testing.assert_frame_equal(
-        cur.sizes.sort_values(by_el, ignore_index=True),
-        rebuilt.sizes.sort_values(by_el, ignore_index=True),
-    )
+    np.testing.assert_array_equal(cur.entity, rebuilt.entity)
+    np.testing.assert_array_equal(cur.sizes, rebuilt.sizes)
     cols = ["level", "key", "route", "n_entities"]
     pd.testing.assert_frame_equal(cur.nodes[cols], rebuilt.nodes[cols])
-    assert (cur.nodes.sig_val <= rebuilt.nodes.sig_val).all()
+    assert (cur.nodes.sig_val == rebuilt.nodes.sig_val).all()
+    cur.unpersist()
+    rebuilt.unpersist()
+
+
+def _plan_chars(df) -> int:
+    """Length of a DataFrame's logical plan, as Spark prints it."""
+    return len(df._jdf.queryExecution().logical().toString())
+
+
+def test_churn_keeps_plans_bounded_and_exact(setting):
+    """Ten chained updates over existing and new entities: each version
+    answers top-k exactly, the cell relation's plan does not grow with the
+    chain, and the final nodes equal a fresh build's."""
+    spark, sp, fam, base, tree = setting
+    cur, batches, plans = tree, [], []
+    for i in range(10):
+        shift = 48 * (i + 1)
+        batch = pd.concat(
+            [
+                # existing entities, later records
+                _later_traces(sp, 3, seed=60 + i, t_shift=shift, first_id=3 * i),
+                # the previous batch's last new entity plus two new ones
+                _later_traces(sp, 3, seed=80 + i, t_shift=shift, first_id=399 + 2 * i),
+            ],
+            ignore_index=True,
+        )
+        batches.append(batch)
+        cur, _ = bulk_update(spark, cur, spark.createDataFrame(batch))
+        plans.append(_plan_chars(cur.cells))
+        eng = TopKEngine(spark, cur, ADMParams(m=3))
+        q = int(batch.entity.iloc[0])
+        res, bf = eng.topk(q, 5), eng.brute_force(q, 5)
+        np.testing.assert_allclose(
+            sorted(s for _, s in res.results),
+            sorted(s for _, s in bf.results),
+            atol=1e-9,
+        )
+    assert plans[-1] <= plans[0], plans
+    merged = pd.concat([base, *batches], ignore_index=True)
+    rebuilt = build_minsigtree(spark, spark.createDataFrame(merged), sp, fam)
+    pd.testing.assert_frame_equal(cur.nodes, rebuilt.nodes)
+    pd.testing.assert_frame_equal(cur.leaves, rebuilt.leaves)
     cur.unpersist()
     rebuilt.unpersist()
